@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all ci vet build test race bench bench-smoke bench-engines bench-scaling bench-sessions bench-vmopt bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness quick clean
+.PHONY: all ci vet build test race perfbench-check bench bench-smoke bench-engines bench-scaling bench-sessions bench-vmopt bench-transport profile engines chaos fuzz-smoke smoke-serve certify certify-smoke cover harness quick clean
 
 all: ci
 
@@ -12,8 +12,16 @@ all: ci
 # the chaos suite under randomized fault schedules, a short continuous
 # fuzz of each native fuzz target, a 1x-benchtime smoke run of
 # every benchmark so benchmark code cannot rot uncompiled or uncovered,
-# and an end-to-end drive of the HTTP service through the real binary.
-ci: vet build race engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve
+# an end-to-end drive of the HTTP service through the real binary, and
+# the service benchmark's own module (perfbench-check).
+ci: vet build race engines chaos certify-smoke fuzz-smoke bench-smoke smoke-serve perfbench-check
+
+# perfbench-check vets and tests the service benchmark, a separate Go
+# module that the root `go build ./...` skips: an API change in exec,
+# server or transport that breaks the benchmark fails here instead of
+# at the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # engines runs the tree/VM differential tests: identical traces,
 # clocks, mitigation records, and final memories across engines on the

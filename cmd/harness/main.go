@@ -21,6 +21,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/exec"
 	"repro/internal/experiments"
 )
 
@@ -31,7 +32,8 @@ func main() {
 	format := flag.String("format", "text", "output format: text, json, csv")
 	parallel := flag.Bool("parallel", true, "fan independent probes across goroutines where supported")
 	plot := flag.Bool("plot", false, "render figures as ASCII charts (text format only)")
-	engine := flag.String("engine", "tree", "execution engine for service-backed experiments: tree, vm")
+	engine := flag.String("engine", exec.DefaultEngine,
+		fmt.Sprintf("execution engine for service-backed experiments: one of %v (tree is the reference oracle)", exec.EngineNames()))
 	seed := flag.Int64("seed", 0, "seed for randomized experiments (0 = experiment default)")
 	flag.Parse()
 

@@ -17,6 +17,7 @@ package optimize
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/bytecode"
 	"repro/internal/lang/token"
@@ -192,13 +193,32 @@ func Lower(p *bytecode.Program) (*bytecode.OptProgram, error) {
 	// stack interpreter's fmt.Sprintf("%s[%d]", name, idx).
 	out.IdxNames = make([][]string, len(p.ArrayNames))
 	for i, name := range p.ArrayNames {
-		names := make([]string, p.ArraySizes[i])
-		for j := range names {
-			names[j] = fmt.Sprintf("%s[%d]", name, j)
-		}
-		out.IdxNames[i] = names
+		out.IdxNames[i] = elementNames(name, int(p.ArraySizes[i]))
 	}
 	return out, nil
+}
+
+// elementNames returns "name[0]" … "name[n-1]" as substrings of one
+// string, so a large array costs a fixed handful of allocations at
+// compile time (and so at server start-up) rather than a formatted
+// string per element.
+func elementNames(name string, n int) []string {
+	names := make([]string, n)
+	ends := make([]int, n)
+	buf := make([]byte, 0, n*(len(name)+8))
+	for j := range names {
+		buf = append(buf, name...)
+		buf = append(buf, '[')
+		buf = strconv.AppendInt(buf, int64(j), 10)
+		buf = append(buf, ']')
+		ends[j] = len(buf)
+	}
+	all, start := string(buf), 0
+	for j, end := range ends {
+		names[j] = all[start:end]
+		start = end
+	}
+	return names
 }
 
 // stackDepths computes each instruction's entry stack depth by abstract

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -248,6 +249,17 @@ sleep(h) [H,H];
 	}
 	if len(op.IdxNames) != 1 || len(op.IdxNames[0]) != 4 || op.IdxNames[0][2] != "a[2]" {
 		t.Errorf("IdxNames = %v", op.IdxNames)
+	}
+	for _, n := range []int{0, 1, 10, 1280} {
+		names := elementNames("wtab", n)
+		if len(names) != n {
+			t.Fatalf("elementNames(wtab, %d) has %d names", n, len(names))
+		}
+		for j, got := range names {
+			if want := fmt.Sprintf("%s[%d]", "wtab", j); got != want {
+				t.Errorf("elementNames(wtab, %d)[%d] = %q, want %q", n, j, got, want)
+			}
+		}
 	}
 	var sawBinop, sawHighLabel bool
 	for _, ins := range op.Code {

@@ -17,7 +17,9 @@ import (
 // underlying layers ignore them.
 type TargetConfig struct {
 	// Engine is the registered engine name ("tree", "vm"); default
-	// "tree".
+	// "tree", the reference oracle, named here rather than left to
+	// exec.DefaultEngine so certification never follows the serving
+	// default.
 	Engine string
 	// OptLevel/OptSet select the VM optimization tier, as in
 	// exec.Options.

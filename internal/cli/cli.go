@@ -551,8 +551,8 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	requests := fs.Int("requests", 32, "number of requests to serve")
 	mitigate := fs.Bool("mitigate", true, "enable predictive mitigation")
 	maxSteps := fs.Int("max-steps", 10_000_000, "per-request step budget")
-	engine := fs.String("engine", "tree",
-		fmt.Sprintf("execution engine: one of %v", exec.EngineNames()))
+	engine := fs.String("engine", exec.DefaultEngine,
+		fmt.Sprintf("execution engine: one of %v (tree is the reference oracle; vm is the fast serving path)", exec.EngineNames()))
 	optLevel := fs.Int("opt", exec.DefaultOptLevel,
 		"vm-engine bytecode optimization level: 0 = stack interpreter, 1 = register lowering, 2 = + superinstruction fusion (identical observable timing at every level)")
 	listen := fs.String("listen", "",
@@ -757,6 +757,11 @@ var serveListenHook func(addr string, stop func())
 // interrupted, then drains gracefully: stop admitting, finish in-flight
 // requests, close the pool, print the final snapshot.
 func serveHTTP(pool *server.Pool, prog *ast.Program, sessions *session.Manager, addr string, sharePprof bool, maxInflight int, codec wire.Codec, streamWindow int, stdout, stderr io.Writer) error {
+	// The signal handler goes in before the listener is announced or
+	// served, so a SIGINT that follows the first healthz 200 always
+	// gets the drain rather than the runtime's default kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	h, err := transport.New(transport.Options{
 		Pool: pool, Prog: prog, MaxInFlight: maxInflight, Sessions: sessions,
 		Codec: codec, StreamWindow: streamWindow,
@@ -797,8 +802,6 @@ func serveHTTP(pool *server.Pool, prog *ast.Program, sessions *session.Manager, 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if serveListenHook != nil {
 		serveListenHook(ln.Addr().String(), stop)
 	}

@@ -2,12 +2,22 @@ package cli
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/lang/parser"
+	"repro/internal/lattice"
+	"repro/internal/sem/mem"
+	"repro/internal/server"
+	"repro/internal/transport/wire"
+	"repro/internal/types"
 )
 
 // testdataPath resolves a file in the repository's testdata directory.
@@ -548,13 +558,19 @@ func TestServeBadFaultFlag(t *testing.T) {
 // then drains and prints its final snapshot.
 func serveListen(t *testing.T, hook func(addr string), extra ...string) (int, string, string) {
 	t.Helper()
+	return serveListenFile(t, "mitigated.tc", hook, extra...)
+}
+
+// serveListenFile is serveListen over the named testdata program.
+func serveListenFile(t *testing.T, file string, hook func(addr string), extra ...string) (int, string, string) {
+	t.Helper()
 	serveListenHook = func(addr string, stop func()) {
 		defer stop()
 		hook(addr)
 	}
 	defer func() { serveListenHook = nil }()
 	args := append([]string{"serve", "-listen", "127.0.0.1:0", "-workers", "2"}, extra...)
-	args = append(args, testdataPath(t, "mitigated.tc"))
+	args = append(args, testdataPath(t, file))
 	return run(args...)
 }
 
@@ -599,6 +615,110 @@ func TestServeListen(t *testing.T) {
 	}
 	if !strings.Contains(out, "draining") || !strings.Contains(out, "served 1 requests") {
 		t.Errorf("missing drain summary:\n%s", out)
+	}
+}
+
+// TestServeDefaultEngineMatchesTreeOracle serves the RSA case study
+// with no -engine flag, checks that healthz reports the vm engine, and
+// replays every shard's responses, in shard order, on a serial
+// tree-engine server over the same machine: anonymous requests share
+// their shard's mitigation state, so each shard is a deterministic
+// serial machine and every time and misprediction count must match.
+func TestServeDefaultEngineMatchesTreeOracle(t *testing.T) {
+	var health wire.Health
+	var inputs []map[string]int64
+	var served []wire.RunResponse
+	code, _, errOut := serveListenFile(t, "rsa.tc", func(addr string) {
+		status, body := httpGet(t, "http://"+addr+"/v1/healthz")
+		if status != http.StatusOK {
+			t.Fatalf("healthz: status=%d body=%q", status, body)
+		}
+		if err := json.Unmarshal([]byte(body), &health); err != nil {
+			t.Fatalf("healthz body %q: %v", body, err)
+		}
+		for batch := 0; batch < 3; batch++ {
+			var req wire.BatchRequest
+			for i := 0; i < 16; i++ {
+				n := int64(batch*16 + i)
+				in := map[string]int64{"key": (int64(1)<<(n%21) | n*2654435761) & (1<<21 - 1), "nblocks": 1 + n*3/2%10}
+				inputs = append(inputs, in)
+				req.Requests = append(req.Requests, wire.RunRequest{Inputs: in})
+			}
+			buf, _ := json.Marshal(req)
+			resp, err := http.Post("http://"+addr+"/v1/batch", "application/json", bytes.NewReader(buf))
+			if err != nil {
+				t.Fatalf("POST /v1/batch: %v", err)
+			}
+			var out wire.BatchResponse
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || len(out.Results) != len(req.Requests) {
+				t.Fatalf("batch %d: status=%d err=%v results=%d", batch, resp.StatusCode, err, len(out.Results))
+			}
+			for i, r := range out.Results {
+				if r.Response == nil {
+					t.Fatalf("batch %d item %d failed: %+v", batch, i, r.Error)
+				}
+				served = append(served, *r.Response)
+			}
+		}
+	})
+	if code != 0 {
+		t.Fatalf("exit=%d stderr=%q", code, errOut)
+	}
+	if health.Engine != "vm" {
+		t.Fatalf("healthz engine = %q, want vm (the serving default)", health.Engine)
+	}
+
+	src, err := os.ReadFile(testdataPath(t, "rsa.tc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := parser.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := lattice.TwoPoint()
+	res, err := types.Check(prog, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byShard := map[int][]int{}
+	for i, r := range served {
+		byShard[r.Shard] = append(byShard[r.Shard], i)
+	}
+	if len(byShard) != 2 {
+		t.Errorf("responses came from %d shards, want 2", len(byShard))
+	}
+	for shard, idxs := range byShard {
+		sort.Slice(idxs, func(a, b int) bool { return served[idxs[a]].ShardIndex < served[idxs[b]].ShardIndex })
+		env, err := PickEnv("partitioned", lat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := server.New(prog, res, server.Options{Env: env, Engine: "tree"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, i := range idxs {
+			got := served[i]
+			if got.ShardIndex != k {
+				t.Fatalf("shard %d: shard_index %d where %d was expected", shard, got.ShardIndex, k)
+			}
+			in := inputs[got.Index]
+			want, err := ref.Handle(context.Background(), func(m *mem.Memory) {
+				for name, v := range in {
+					m.Set(name, v)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Time != want.Time || got.Mispredictions != want.Mispredictions {
+				t.Errorf("shard %d index %d: served time %d mispredictions %d, tree replay %d and %d",
+					shard, k, got.Time, got.Mispredictions, want.Time, want.Mispredictions)
+			}
+		}
 	}
 }
 

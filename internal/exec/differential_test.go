@@ -337,7 +337,7 @@ func TestEngineRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Name() != "tree" {
-		t.Errorf("empty engine name resolved to %q, want tree", eng.Name())
+	if eng.Name() != "vm" {
+		t.Errorf("empty engine name resolved to %q, want vm", eng.Name())
 	}
 }

@@ -52,11 +52,18 @@ func MustRegister(name string, f Factory) {
 	}
 }
 
+// DefaultEngine is the engine that serves when a caller names none:
+// the bytecode VM at DefaultOptLevel. It is observationally identical
+// to "tree", which stays registered as the reference oracle that the
+// differential suite, certify and the benchmark replay name
+// explicitly.
+const DefaultEngine = "vm"
+
 // NewEngine constructs a registered engine by name. The empty name
-// selects "tree", the reference implementation.
+// selects DefaultEngine.
 func NewEngine(name string, prog *ast.Program, res *types.Result, env hw.Env, opts Options) (Engine, error) {
 	if name == "" {
-		name = "tree"
+		name = DefaultEngine
 	}
 	registryMu.RLock()
 	f, ok := registry[name]

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
@@ -96,7 +97,7 @@ type NetworkConfig struct {
 	Workers     int
 	Concurrency int
 	// Engine names the execution engine in the exec registry; default
-	// "tree".
+	// exec.DefaultEngine.
 	Engine string
 }
 
@@ -112,7 +113,7 @@ func (c NetworkConfig) Defaults() NetworkConfig {
 		c.Concurrency = 8
 	}
 	if c.Engine == "" {
-		c.Engine = "tree"
+		c.Engine = exec.DefaultEngine
 	}
 	return c
 }
@@ -335,7 +336,8 @@ func networkLoad(cfg NetworkConfig, codec wire.Codec, stream bool, reqs []wire.R
 }
 
 // networkReference runs the same inputs through an in-process pool
-// configured identically to the service's.
+// configured like the service's but on the tree engine, the oracle:
+// identity then covers the wire path and the serving engine at once.
 func networkReference(cfg NetworkConfig, inputs []int64) ([]*server.Response, error) {
 	p, err := parser.Parse(networkSrc)
 	if err != nil {
@@ -349,7 +351,7 @@ func networkReference(cfg NetworkConfig, inputs []int64) ([]*server.Response, er
 		Workers: cfg.Workers,
 		Options: server.Options{
 			Env:    hw.NewPartitioned(r.Lat, hw.Table1Config()),
-			Engine: cfg.Engine,
+			Engine: "tree",
 		},
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/apps/login"
+	"repro/internal/exec"
 	"repro/internal/lattice"
 	"repro/internal/machine/hw"
 	"repro/internal/obs"
@@ -70,7 +71,7 @@ type ServiceConfig struct {
 	// "partitioned".
 	HW string
 	// Engine names the execution engine in the exec registry; default
-	// "tree". "vm" runs the compiled-bytecode hot path.
+	// exec.DefaultEngine ("vm", the compiled-bytecode hot path).
 	Engine string
 }
 
@@ -89,7 +90,7 @@ func (c ServiceConfig) Defaults() ServiceConfig {
 		c.HW = "partitioned"
 	}
 	if c.Engine == "" {
-		c.Engine = "tree"
+		c.Engine = exec.DefaultEngine
 	}
 	return c
 }
@@ -170,7 +171,8 @@ func Service(cfg ServiceConfig) (*ServiceData, error) {
 	data.Export = data.Snapshot.Export()
 
 	// Shard-by-shard determinism: each shard's responses must match a
-	// serial reference run over that shard's round-robin subsequence.
+	// serial reference run over that shard's round-robin subsequence,
+	// on the tree engine (the oracle) whatever engine the pool served.
 	byShard := make([][]*server.Response, cfg.Workers)
 	for _, r := range resps {
 		byShard[r.Shard] = append(byShard[r.Shard], r)
@@ -181,7 +183,7 @@ func Service(cfg ServiceConfig) (*ServiceData, error) {
 		if err != nil {
 			return nil, err
 		}
-		ref, err := server.New(app.Prog, app.Res, server.Options{Env: env, Engine: cfg.Engine})
+		ref, err := server.New(app.Prog, app.Res, server.Options{Env: env, Engine: "tree"})
 		if err != nil {
 			return nil, err
 		}

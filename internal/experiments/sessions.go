@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/lang/parser"
 	"repro/internal/lattice"
@@ -112,7 +113,7 @@ type SessionsConfig struct {
 	BudgetBits float64
 	// TTL is the session idle lifetime (sets Retry-After on denials).
 	TTL time.Duration
-	// Engine names the execution engine; default "tree".
+	// Engine names the execution engine; default exec.DefaultEngine.
 	Engine string
 	// Seed drives the deterministic secret sequences.
 	Seed int64
@@ -136,7 +137,7 @@ func (c SessionsConfig) Defaults() SessionsConfig {
 		c.TTL = time.Minute
 	}
 	if c.Engine == "" {
-		c.Engine = "tree"
+		c.Engine = exec.DefaultEngine
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -344,6 +344,14 @@ func (c *Cache) Flush() {
 // state is reproduced exactly) but with statistics reset.
 func (c *Cache) Clone() *Cache {
 	n := New(c.cfg)
+	if c.clock == 0 {
+		// Every fill ticks the clock first, so a cache at clock 0 was
+		// never filled and holds only zero lines, as n does. Skipping
+		// the copy leaves n's pages untouched until first use, which
+		// takes most of the cost out of cloning a pool's pristine
+		// prototype environment once per shard at start-up.
+		return n
+	}
 	for s := range c.sets {
 		copy(n.sets[s], c.sets[s])
 	}

@@ -247,6 +247,21 @@ type worker struct {
 	brFails    atomic.Int64
 	brState    atomic.Int32
 	brOpenedAt atomic.Int64
+
+	// hwStats is the copy of the shard environment's counters that the
+	// worker publishes under hwMu after every run. Snapshot sums these
+	// copies and never reads an environment an engine may be mutating.
+	hwMu    sync.Mutex
+	hwStats hw.Stats
+}
+
+// publishStats copies the shard environment's counters for Snapshot.
+// Only the worker goroutine (or NewPool, before it starts) calls it.
+func (w *worker) publishStats() {
+	st := w.srv.Env().Stats()
+	w.hwMu.Lock()
+	w.hwStats = st
+	w.hwMu.Unlock()
 }
 
 // poolClosed is the lifecycle bit of Pool.state; the low bits count
@@ -315,6 +330,7 @@ func NewPool(prog *ast.Program, res *types.Result, opts PoolOptions) (*Pool, err
 			return nil, err
 		}
 		w := &worker{shard: i, srv: srv, jobs: make(chan job, opts.QueueDepth)}
+		w.publishStats()
 		p.workers = append(p.workers, w)
 		p.wg.Add(1)
 		go p.run(w)
@@ -368,6 +384,7 @@ func (p *Pool) run(w *worker) {
 // shard-local index/shard fields to the pool-global view.
 func (p *Pool) serve(w *worker, ctx context.Context, req Request, index int, mit *mitigation.State) (*Response, error) {
 	resp, err := w.srv.HandleWith(ctx, req, mit)
+	w.publishStats()
 	if resp != nil {
 		resp.ShardIndex = resp.Index
 		resp.Index = index
@@ -833,13 +850,17 @@ func (p *Pool) Shard(i int) *Server { return p.workers[i].srv }
 func (p *Pool) Metrics() *obs.Metrics { return p.opts.Metrics }
 
 // Snapshot returns the pooled instrumentation, with hardware counters
-// summed across every shard's environment. Call after Close (or while
-// quiescent) for exact numbers; concurrent snapshots are approximate.
+// summed across every shard. Each shard contributes the counters its
+// worker published after its last completed run, so Snapshot is safe
+// to call while requests run: every response already returned is
+// counted, a run still in progress is not. After Close it is exact.
 func (p *Pool) Snapshot() obs.Snapshot {
 	snap := p.opts.Metrics.Snapshot()
 	var hwStats hw.Stats
 	for _, w := range p.workers {
-		hwStats = hwStats.Add(w.srv.Env().Stats())
+		w.hwMu.Lock()
+		hwStats = hwStats.Add(w.hwStats)
+		w.hwMu.Unlock()
 	}
 	snap.HW = hwStats
 	return snap

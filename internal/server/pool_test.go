@@ -75,7 +75,8 @@ func mixedWorkloads(t *testing.T) []poolWorkload {
 			},
 			serial: func(t *testing.T) *Server {
 				s, err := New(lapp.Prog, lapp.Res, Options{
-					Env: hw.MustEnv("partitioned", lat, hw.Table1Config()),
+					Env:    hw.MustEnv("partitioned", lat, hw.Table1Config()),
+					Engine: "tree",
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -98,7 +99,8 @@ func mixedWorkloads(t *testing.T) []poolWorkload {
 			},
 			serial: func(t *testing.T) *Server {
 				s, err := New(rapp.Prog, rapp.Res, Options{
-					Env: hw.MustEnv("partitioned", lat, hw.Table1Config()),
+					Env:    hw.MustEnv("partitioned", lat, hw.Table1Config()),
+					Engine: "tree",
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -531,6 +533,70 @@ func TestPoolSnapshot(t *testing.T) {
 	}
 	if pool.Metrics() == nil {
 		t.Error("Metrics accessor returned nil")
+	}
+}
+
+// TestPoolSnapshotConcurrentWithLoad scrapes Snapshot while a
+// vm-engine HandleAll load runs, as /v1/metrics does under traffic.
+// Under -race it pins that Snapshot never reads a shard environment an
+// engine is mutating; in any mode the published hardware counters only
+// grow, and after Close they equal the shards' own counters exactly.
+func TestPoolSnapshotConcurrentWithLoad(t *testing.T) {
+	p, r := buildProg(t, echoSrc)
+	pool, err := NewPool(p, r, PoolOptions{
+		Workers: 2,
+		Options: Options{Env: hw.MustEnv("partitioned", r.Lat, hw.Table1Config()), Engine: "vm"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]Request, 32)
+	for i := range reqs {
+		reqs[i] = setH(int64(i * 7 % 64))
+	}
+	started, done, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		var last uint64
+		for n := 0; ; n++ {
+			if n == 1 {
+				close(started)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st := pool.Snapshot().HW
+			total := st.L1DHits + st.L1DMisses
+			if total < last {
+				t.Errorf("published L1D events fell from %d to %d", last, total)
+			}
+			last = total
+		}
+	}()
+	<-started
+	for round := 0; round < 20; round++ {
+		resps, err := pool.HandleAll(ctxb(), reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, resp := range resps {
+			ReleaseResponse(resp)
+		}
+	}
+	close(done)
+	<-stopped
+	pool.Close()
+	var want hw.Stats
+	for i := 0; i < pool.Workers(); i++ {
+		want = want.Add(pool.Shard(i).Env().Stats())
+	}
+	if got := pool.Snapshot().HW; got != want {
+		t.Errorf("snapshot after Close = %+v, want the shards' sum %+v", got, want)
+	}
+	if got := pool.Snapshot().Requests; got != 20*uint64(len(reqs)) {
+		t.Errorf("snapshot requests = %d, want %d", got, 20*len(reqs))
 	}
 }
 

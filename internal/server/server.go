@@ -146,10 +146,11 @@ type Options struct {
 	// place (caches stay warm across requests); a Pool clones it once
 	// per worker so every shard owns partitioned hardware state.
 	Env hw.Env
-	// Engine selects the execution engine by registered name: "tree"
-	// (the default) interprets the AST per request; "vm" compiles the
-	// program to bytecode once (shared across shards via the program
-	// cache) and reuses the machine — the fast path. Both produce
+	// Engine selects the execution engine by registered name. Empty
+	// means exec.DefaultEngine, "vm": it compiles the program to
+	// bytecode once (shared across shards via the program cache) and
+	// reuses the machine. "tree" interprets the AST per request; it is
+	// the reference oracle, not the serving path. Both produce
 	// identical traces. Unknown names fail New with ErrBadOptions.
 	Engine string
 	// Scheme and Policy configure the persistent mitigation state.

@@ -51,7 +51,7 @@ func TestHandleWithStatesAreIndependent(t *testing.T) {
 	a := mitigation.NewState(r.Lat, srv.opts.Scheme, srv.opts.Policy)
 	b := mitigation.NewState(r.Lat, srv.opts.Scheme, srv.opts.Policy)
 
-	ref, err := New(p, r, Options{Env: hw.NewPartitioned(r.Lat, hw.Table1Config())})
+	ref, err := New(p, r, Options{Env: hw.NewPartitioned(r.Lat, hw.Table1Config()), Engine: "tree"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,10 @@
 // 100-request batch, a metrics scrape in both formats, a pipelined
 // /v1/stream exchange), then sends SIGINT mid-stream and checks the
 // two-phase drain: the open stream gets a terminal shutting_down line
-// and a clean end before the process exits. Run via `make smoke-serve`.
+// and a clean end before the process exits. Two more servers are then
+// interrupted early, one right after it announces its address and one
+// right after its first healthz 200; both must still drain and exit 0.
+// Run via `make smoke-serve`.
 package main
 
 import (
@@ -47,43 +50,101 @@ func run() error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	srv := exec.CommandContext(ctx, bin,
+	if err := driveAndDrain(ctx, bin); err != nil {
+		return err
+	}
+	if err := interruptEarly(ctx, bin, false); err != nil {
+		return err
+	}
+	return interruptEarly(ctx, bin, true)
+}
+
+// startServe starts `timingc serve -listen` on an ephemeral port and
+// waits for it to announce its address. Everything the server prints
+// after that is the shutdown transcript, collected in the background
+// and delivered on rest once stdout closes.
+func startServe(ctx context.Context, bin string) (srv *exec.Cmd, addr string, rest <-chan string, err error) {
+	srv = exec.CommandContext(ctx, bin,
 		"serve", "-listen", "127.0.0.1:0", "-workers", "2",
 		filepath.Join("testdata", "mitigated.tc"))
 	srv.Stderr = os.Stderr
 	stdout, err := srv.StdoutPipe()
 	if err != nil {
-		return err
+		return nil, "", nil, err
 	}
 	if err := srv.Start(); err != nil {
-		return fmt.Errorf("start serve: %w", err)
+		return nil, "", nil, fmt.Errorf("start serve: %w", err)
 	}
-	defer srv.Process.Kill()
-
-	// The serve command announces its bound address first; everything
-	// after that is the shutdown transcript, drained in the background
-	// so the final checks can read it.
 	sc := bufio.NewScanner(stdout)
-	var addr string
 	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "listening on http://"); ok {
-			addr = rest
+		if a, ok := strings.CutPrefix(sc.Text(), "listening on http://"); ok {
+			addr = a
 			break
 		}
 	}
 	if addr == "" {
-		return fmt.Errorf("serve never announced its address (scan err: %v)", sc.Err())
+		srv.Process.Kill()
+		return nil, "", nil, fmt.Errorf("serve never announced its address (scan err: %v)", sc.Err())
 	}
-	rest := make(chan string, 1)
+	tail := make(chan string, 1)
 	go func() {
 		var b strings.Builder
 		for sc.Scan() {
 			b.WriteString(sc.Text())
 			b.WriteString("\n")
 		}
-		rest <- b.String()
+		tail <- b.String()
 	}()
+	return srv, addr, tail, nil
+}
+
+// interruptEarly sends SIGINT as soon as the server has announced its
+// address or, with healthy, the moment /v1/healthz first answers 200.
+// The handler is installed before the announcement, so even these
+// early signals get the drain and a clean exit.
+func interruptEarly(ctx context.Context, bin string, healthy bool) error {
+	srv, addr, rest, err := startServe(ctx, bin)
+	if err != nil {
+		return err
+	}
+	defer srv.Process.Kill()
+	for healthy {
+		resp, err := http.Get("http://" + addr + "/v1/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if ctx.Err() != nil {
+			return fmt.Errorf("healthz never answered 200: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := srv.Process.Signal(os.Interrupt); err != nil {
+		return fmt.Errorf("interrupt: %w", err)
+	}
+	when := "its address announcement"
+	if healthy {
+		when = "its first healthz 200"
+	}
+	if err := srv.Wait(); err != nil {
+		return fmt.Errorf("serve interrupted right after %s exited uncleanly: %w", when, err)
+	}
+	if tail := <-rest; !strings.Contains(tail, "shutting down: draining") {
+		return fmt.Errorf("serve interrupted right after %s printed no drain line:\n%s", when, tail)
+	}
+	return nil
+}
+
+// driveAndDrain exercises the API through the SDK, then interrupts the
+// server mid-stream and checks the two-phase drain.
+func driveAndDrain(ctx context.Context, bin string) error {
+	srv, addr, rest, err := startServe(ctx, bin)
+	if err != nil {
+		return err
+	}
+	defer srv.Process.Kill()
 
 	base := "http://" + addr
 	c := client.New(base, client.Options{MaxRetries: 3, RetrySeed: 1})

@@ -97,9 +97,10 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 func TestRunRoundTrip(t *testing.T) {
 	_, ts := newService(t, server.PoolOptions{Workers: 1}, Options{})
 
-	// Serial in-process reference with an identical environment.
+	// Serial in-process reference with an identical environment, on
+	// the tree engine (the oracle for the default vm engine).
 	p, r := buildProg(t, echoSrc)
-	ref, err := server.New(p, r, server.Options{Env: hw.NewPartitioned(r.Lat, hw.Table1Config())})
+	ref, err := server.New(p, r, server.Options{Env: hw.NewPartitioned(r.Lat, hw.Table1Config()), Engine: "tree"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +150,12 @@ func TestBatchMatchesInProcess(t *testing.T) {
 	const workers = 4
 	_, ts := newService(t, server.PoolOptions{Workers: workers}, Options{})
 
-	// In-process reference: an identically configured pool.
+	// In-process reference: an identically sharded pool on the tree
+	// engine, the oracle for the default vm engine.
 	p, r := buildProg(t, echoSrc)
 	refPool, err := server.NewPool(p, r, server.PoolOptions{
 		Workers: workers,
-		Options: server.Options{Env: hw.NewPartitioned(r.Lat, hw.Table1Config())},
+		Options: server.Options{Env: hw.NewPartitioned(r.Lat, hw.Table1Config()), Engine: "tree"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +383,7 @@ func TestHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Status != wire.StatusOK || health.Workers != 3 || health.Engine != "tree" {
+	if health.Status != wire.StatusOK || health.Workers != 3 || health.Engine != "vm" {
 		t.Errorf("health = %+v", health)
 	}
 	_ = h
