@@ -38,11 +38,15 @@ chaos:
 # fuzz-smoke runs each native fuzz target for FUZZTIME (default 30s) of
 # continuous mutation on top of the checked-in seed corpora
 # (regenerate those with `go run ./internal/tools/genfuzzcorpus`).
+# FuzzAccessSiteMatchesAccess caps minimization at 10 runs per new
+# input: minimizing one of its byte scripts runs for the default 60s,
+# which would spend the whole FUZZTIME minimizing instead of fuzzing.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/lang/parser
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/bytecode
 	$(GO) test -fuzz FuzzOptTraceIdentity -fuzztime $(FUZZTIME) ./internal/bytecode/optimize
 	$(GO) test -fuzz FuzzWireCodecIdentity -fuzztime $(FUZZTIME) ./internal/transport/wire/fastjson
+	$(GO) test -fuzz FuzzAccessSiteMatchesAccess -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/machine/hw
 
 # smoke-serve builds the real timingc binary, serves the HTTP/JSON API
 # on an ephemeral port, drives it through the client SDK (health, a

@@ -550,7 +550,8 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	queue := fs.Int("queue", 2, "per-shard submission queue depth")
 	requests := fs.Int("requests", 32, "number of requests to serve")
 	mitigate := fs.Bool("mitigate", true, "enable predictive mitigation")
-	maxSteps := fs.Int("max-steps", 10_000_000, "per-request step budget")
+	maxSteps := fs.Int("max-steps", 10_000_000,
+		"per-request step budget, in engine steps: bytecode instructions for vm, commands for tree (vm counts about 5x the tree's steps on testdata/rsa.tc)")
 	engine := fs.String("engine", exec.DefaultEngine,
 		fmt.Sprintf("execution engine: one of %v (tree is the reference oracle; vm is the fast serving path)", exec.EngineNames()))
 	optLevel := fs.Int("opt", exec.DefaultOptLevel,

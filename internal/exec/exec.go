@@ -39,7 +39,9 @@ import (
 // against one vocabulary.
 type Limits struct {
 	// MaxSteps bounds engine-granular work per request: language-level
-	// steps for the tree engine, instructions for the VM. Exceeding it
+	// steps for the tree engine, bytecode instructions for the VM —
+	// about 5× as many on testdata/rsa.tc (1847 against 339 per
+	// request), so one budget admits less work on the VM. Exceeding it
 	// fails the run with budget.ErrStepLimit.
 	MaxSteps int
 	// MaxCycles, when non-zero, bounds each request's simulated cycles

@@ -69,28 +69,39 @@ type Cache struct {
 	// clock is a monotonically increasing logical timestamp used to
 	// order LRU decisions deterministically.
 	clock uint64
-	// gen counts membership changes: it is bumped whenever the set of
-	// cached blocks (or lock bits) can change — Fill, FillLocked,
-	// Invalidate, Flush — and deliberately NOT on LRU touches, which
-	// reorder lines without changing which blocks hit. Memoized access
-	// paths (hw.Site) use it to detect that a previously observed
-	// hit/miss outcome is still valid.
-	gen uint64
+	// setGens holds one membership generation per set: a set's counter
+	// is bumped whenever the blocks it holds (or their lock bits) can
+	// change — Fill or FillLocked installing a block, FillLocked locking
+	// a present line, a successful Invalidate, Flush (every set) — and
+	// deliberately NOT on LRU touches, which reorder lines without
+	// changing which blocks hit. Memoized access paths (hw.Site) keep
+	// pointers to the counters of the sets they probed to detect that a
+	// previously observed hit/miss outcome is still valid, so traffic in
+	// other sets leaves their memos live. Allocated once in New and
+	// never reallocated: the pointers SetGen hands out stay valid for
+	// the cache's lifetime.
+	setGens []uint64
 
 	// Statistics (not part of the machine-environment state: they do
 	// not affect timing and are excluded from equivalence checks).
 	hits, misses uint64
 }
 
-// Gen returns the membership generation counter (see the gen field).
-func (c *Cache) Gen() uint64 { return c.gen }
+// SetGen returns a pointer to the membership generation of addr's set
+// (see the setGens field). The pointer stays valid, and the counter
+// only grows, for the cache's lifetime.
+func (c *Cache) SetGen(addr uint64) *uint64 {
+	set, _ := c.index(addr)
+	return &c.setGens[set]
+}
 
 // TouchRef is a stable reference to one cache line, captured by LineRef
 // while the line holds a known block. Refresh replays exactly the state
 // change of a refreshing hit on that block — LRU timestamp bump plus the
 // hit counter — without re-scanning the set. A TouchRef is valid only
-// while the owning cache's Gen() is unchanged: any fill, invalidate, or
-// flush may repurpose the line.
+// while the generation of its set (SetGen) is unchanged: a fill,
+// invalidate or flush of that set may repurpose the line, while
+// traffic in other sets cannot touch it.
 type TouchRef struct {
 	c  *Cache
 	ln *line
@@ -106,7 +117,7 @@ func (r TouchRef) Refresh() {
 
 // LineRef returns a TouchRef for addr's line if the block is cached,
 // without modifying any state (a pure probe, like Contains). The
-// reference stays valid until the cache's Gen() changes.
+// reference stays valid until the SetGen(addr) counter changes.
 func (c *Cache) LineRef(addr uint64) (TouchRef, bool) {
 	set, tag := c.index(addr)
 	ws := c.sets[set]
@@ -132,6 +143,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:        cfg,
 		sets:       sets,
+		setGens:    make([]uint64, cfg.Sets),
 		blockShift: log2(uint64(cfg.BlockSize)),
 		setShift:   log2(uint64(cfg.Sets)),
 		setMask:    uint64(cfg.Sets) - 1,
@@ -219,8 +231,8 @@ func (c *Cache) Probe(addr uint64, refresh bool) bool {
 func (c *Cache) Fill(addr uint64) (evicted uint64, didEvict bool) {
 	set, tag := c.index(addr)
 	c.clock++
-	c.gen++
-	// Already present: refresh (idempotent fill).
+	// Already present: refresh (idempotent fill). Only LRU order
+	// changes, so the set's generation stays put.
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
 		if ln.valid && ln.tag == tag {
@@ -245,6 +257,7 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, didEvict bool) {
 	if victim < 0 {
 		return 0, false // all ways locked: bypass
 	}
+	c.setGens[set]++
 	v := &c.sets[set][victim]
 	if v.valid {
 		evicted = c.blockBase(set, v.tag)
@@ -263,15 +276,19 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, didEvict bool) {
 func (c *Cache) FillLocked(addr uint64) (evicted uint64, didEvict bool) {
 	set, tag := c.index(addr)
 	c.clock++
-	c.gen++
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
 		if ln.valid && ln.tag == tag {
 			ln.used = c.clock
-			ln.locked = true
+			if !ln.locked {
+				// Locking changes which lines Fill may evict.
+				ln.locked = true
+				c.setGens[set]++
+			}
 			return 0, false
 		}
 	}
+	c.setGens[set]++
 	victim := 0
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
@@ -323,7 +340,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 			// Only a successful invalidation changes membership; the
 			// common no-op case (partitioned fills invalidating absent
 			// blocks) must not churn memo generations.
-			c.gen++
+			c.setGens[set]++
 			return true
 		}
 	}
@@ -332,8 +349,8 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // Flush empties the cache; statistics are preserved.
 func (c *Cache) Flush() {
-	c.gen++
 	for s := range c.sets {
+		c.setGens[s]++
 		for i := range c.sets[s] {
 			c.sets[s][i] = line{}
 		}

@@ -313,3 +313,92 @@ func TestCacheDeterminismQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// setGens reads the membership generation of every set of a small()
+// cache (set s holds the blocks at s<<4 modulo 64).
+func setGens(c *Cache) []uint64 {
+	g := make([]uint64, c.cfg.Sets)
+	for s := range g {
+		g[s] = *c.SetGen(uint64(s) << c.blockShift)
+	}
+	return g
+}
+
+// TestSetGen pins which operations bump a set's membership generation:
+// exactly those that can change the blocks a set holds or their lock
+// bits, and only in the set concerned (Flush: every set). LRU-only
+// operations must leave every generation alone, or memos guarded by
+// them would be discarded for nothing.
+func TestSetGen(t *testing.T) {
+	tests := []struct {
+		name string
+		prep func(c *Cache)
+		op   func(c *Cache)
+		want []uint64 // per-set bump
+	}{
+		{"fill of a new block", nil, func(c *Cache) { c.Fill(0x10) }, []uint64{0, 1, 0, 0}},
+		{"fill that evicts", func(c *Cache) { c.Fill(0x00); c.Fill(0x40) },
+			func(c *Cache) { c.Fill(0x80) }, []uint64{1, 0, 0, 0}},
+		{"idempotent fill", func(c *Cache) { c.Fill(0x20) }, func(c *Cache) { c.Fill(0x20) }, []uint64{0, 0, 0, 0}},
+		{"fill bypassing a fully locked set", func(c *Cache) { c.FillLocked(0x00); c.FillLocked(0x40) },
+			func(c *Cache) { c.Fill(0x80) }, []uint64{0, 0, 0, 0}},
+		{"locked fill of a new block", nil, func(c *Cache) { c.FillLocked(0x30) }, []uint64{0, 0, 0, 1}},
+		{"locked fill locking a present line", func(c *Cache) { c.Fill(0x30) },
+			func(c *Cache) { c.FillLocked(0x30) }, []uint64{0, 0, 0, 1}},
+		{"locked fill of a locked line", func(c *Cache) { c.FillLocked(0x30) },
+			func(c *Cache) { c.FillLocked(0x30) }, []uint64{0, 0, 0, 0}},
+		{"invalidate of a present block", func(c *Cache) { c.Fill(0x20) },
+			func(c *Cache) { c.Invalidate(0x20) }, []uint64{0, 0, 1, 0}},
+		{"invalidate of an absent block", func(c *Cache) { c.Fill(0x20) },
+			func(c *Cache) { c.Invalidate(0x60) }, []uint64{0, 0, 0, 0}},
+		{"flush", func(c *Cache) { c.Fill(0x20) }, func(c *Cache) { c.Flush() }, []uint64{1, 1, 1, 1}},
+		{"access hit and miss", func(c *Cache) { c.Fill(0x20) },
+			func(c *Cache) { c.Access(0x20); c.Access(0x60); c.Access(0x10) }, []uint64{0, 0, 0, 0}},
+		{"probe with and without refresh", func(c *Cache) { c.Fill(0x20) },
+			func(c *Cache) { c.Probe(0x20, true); c.Probe(0x20, false); c.Probe(0x10, true) }, []uint64{0, 0, 0, 0}},
+		{"touch-ref refresh", func(c *Cache) { c.Fill(0x20) },
+			func(c *Cache) { r, _ := c.LineRef(0x20); r.Refresh(); c.Contains(0x20) }, []uint64{0, 0, 0, 0}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			c := small()
+			if tt.prep != nil {
+				tt.prep(c)
+			}
+			before := setGens(c)
+			tt.op(c)
+			after := setGens(c)
+			for s := range after {
+				if d := after[s] - before[s]; d != tt.want[s] {
+					t.Errorf("set %d: generation moved by %d, want %d", s, d, tt.want[s])
+				}
+			}
+		})
+	}
+}
+
+// TestSetGenPointers checks the SetGen contract memos rely on: one
+// stable counter per set, shared by every address of the set and
+// never reallocated.
+func TestSetGenPointers(t *testing.T) {
+	c := small()
+	p := c.SetGen(0x10)
+	if c.SetGen(0x1f) != p || c.SetGen(0x50) != p {
+		t.Error("addresses of one set must share its counter")
+	}
+	if c.SetGen(0x20) == p {
+		t.Error("different sets must have different counters")
+	}
+	for a := uint64(0); a < 0x400; a += 0x10 {
+		c.Fill(a)
+		c.FillLocked(a + 0x400)
+		c.Invalidate(a)
+	}
+	c.Flush()
+	if c.SetGen(0x10) != p {
+		t.Error("SetGen pointer changed after traffic")
+	}
+	if *p == 0 {
+		t.Error("traffic into set 1 never moved its counter")
+	}
+}

@@ -13,13 +13,18 @@ import (
 // the same cost and causes the same state change. A Site caches the
 // complete observable effect of one static access site's last access —
 // cost, the LRU refreshes it performed, and the statistics counters it
-// bumped — guarded by the membership generations (cache.Cache.Gen) of
-// every structure the outcome depended on. While no guard structure's
-// membership changes, replaying the memo is bit-for-bit identical to
-// re-running the full simulation: identical cost, identical simulated
-// state (the same lines get the same LRU touches in the same order),
-// identical Stats. Any fill, invalidation, or flush bumps a generation
-// and sends the next access back to the slow path.
+// bumped — guarded by the per-set membership generations
+// (cache.Cache.SetGen) of every cache set the outcome depended on: the
+// TLB and L1 set of each probed partition, plus the L2 set for a
+// no-fill L1 miss. A hit or miss depends only on the blocks held by the
+// set the address maps to, so while none of the guard sets' membership
+// changes, replaying the memo is bit-for-bit identical to re-running
+// the full simulation: identical cost, identical simulated state (the
+// same lines get the same LRU touches in the same order), identical
+// Stats. A fill, invalidation, or flush of a guard set bumps its
+// generation and sends the next access back to the slow path; traffic
+// in other sets (a miss elsewhere in the same cache) leaves the memo
+// live.
 //
 // Only outcomes that mutate no membership are memoized (all-hit paths;
 // for NoFill's no-fill mode, any outcome — it never mutates anything),
@@ -28,8 +33,8 @@ import (
 
 // maxSiteRefs bounds the guard and touch lists a Site may hold. The
 // lists are inline arrays so re-memoizing a site allocates nothing.
-// Partitioned lookups probe one TLB and one L1 partition per level
-// ⊑ er, so 8 covers lattices of up to 4 levels (diamond); larger
+// Partitioned lookups probe one TLB and one L1 set per level ⊑ er,
+// so 8 covers lattices of up to 4 levels (diamond); larger
 // lattices simply stay on the slow path for wide read labels.
 const maxSiteRefs = 8
 
@@ -45,14 +50,23 @@ type Site struct {
 	addr   uint64
 	er, ew lattice.Label
 	cost   uint64
-	// gsum is the sum of the guard caches' generations at memo time;
+	// gsum is the sum of the guard sets' generations at memo time;
 	// replay is valid only while it is unchanged. Generations are
 	// monotone, so a sum collision would need one guard to decrease —
 	// impossible.
 	gsum  uint64
-	gens  [maxSiteRefs]*cache.Cache
+	gens  [maxSiteRefs]*uint64
 	touch [maxSiteRefs]cache.TouchRef
 	stats [maxSiteRefs]*uint64
+}
+
+// guardSum is the current sum of the guard sets' generations.
+func (s *Site) guardSum() uint64 {
+	var g uint64
+	for i := uint8(0); i < s.ngens; i++ {
+		g += *s.gens[i]
+	}
+	return g
 }
 
 // tryFast replays the memo if it is still valid for (addr, er, ew),
@@ -62,11 +76,7 @@ func (s *Site) tryFast(addr uint64, er, ew lattice.Label) (uint64, bool) {
 	if !s.live || s.addr != addr || s.er != er || s.ew != ew {
 		return 0, false
 	}
-	var g uint64
-	for i := uint8(0); i < s.ngens; i++ {
-		g += s.gens[i].Gen()
-	}
-	if g != s.gsum {
+	if s.guardSum() != s.gsum {
 		return 0, false
 	}
 	for i := uint8(0); i < s.ntouch; i++ {
@@ -84,7 +94,8 @@ type memoBuilder struct {
 	ok bool // still within the inline capacity
 }
 
-func (m *memoBuilder) guard(c *cache.Cache) {
+// guard adds a set generation (cache.Cache.SetGen) to the memo's guards.
+func (m *memoBuilder) guard(gen *uint64) {
 	if !m.ok {
 		return
 	}
@@ -92,7 +103,7 @@ func (m *memoBuilder) guard(c *cache.Cache) {
 		m.ok = false
 		return
 	}
-	m.s.gens[m.s.ngens] = c
+	m.s.gens[m.s.ngens] = gen
 	m.s.ngens++
 }
 
@@ -129,11 +140,7 @@ func (m *memoBuilder) seal(addr uint64, er, ew lattice.Label, cost uint64) {
 		s.live = false
 		return
 	}
-	var g uint64
-	for i := uint8(0); i < s.ngens; i++ {
-		g += s.gens[i].Gen()
-	}
-	s.addr, s.er, s.ew, s.cost, s.gsum = addr, er, ew, cost, g
+	s.addr, s.er, s.ew, s.cost, s.gsum = addr, er, ew, cost, s.guardSum()
 	s.live = true
 }
 
@@ -187,8 +194,8 @@ func (u *Unpartitioned) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew
 	cost := normalAccess(h, hcfg, addr, st)
 	if tlbHit && l1Hit {
 		m := s.reset()
-		m.guard(h.tlb)
-		m.guard(h.l1)
+		m.guard(h.tlb.SetGen(addr))
+		m.guard(h.l1.SetGen(addr))
 		m.touchRef(tref)
 		m.touchRef(lref)
 		m.stat(st.tlbh)
@@ -223,8 +230,8 @@ func (n *NoFill) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew lattic
 		cost := normalAccess(h, hcfg, addr, st)
 		if tlbHit && l1Hit {
 			m := s.reset()
-			m.guard(h.tlb)
-			m.guard(h.l1)
+			m.guard(h.tlb.SetGen(addr))
+			m.guard(h.l1.SetGen(addr))
 			m.touchRef(tref)
 			m.touchRef(lref)
 			m.stat(st.tlbh)
@@ -237,8 +244,8 @@ func (n *NoFill) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew lattic
 	}
 	cost := noFillAccess(h, hcfg, addr, st)
 	m := s.reset()
-	m.guard(h.tlb)
-	m.guard(h.l1)
+	m.guard(h.tlb.SetGen(addr))
+	m.guard(h.l1.SetGen(addr))
 	// Replay the exact stats path noFillAccess took (state untouched,
 	// so re-deriving it from membership is faithful).
 	if h.tlb.Contains(addr) {
@@ -250,7 +257,7 @@ func (n *NoFill) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew lattic
 		m.stat(st.l1h)
 	} else {
 		m.stat(st.l1m)
-		m.guard(h.l2)
+		m.guard(h.l2.SetGen(addr))
 		if h.l2.Contains(addr) {
 			m.stat(st.l2h)
 		} else {
@@ -286,8 +293,8 @@ func (p *Partitioned) AccessSite(s *Site, kind AccessKind, addr uint64, er, ew l
 	tlbHit, l1Hit := false, false
 	for _, step := range plan.probe {
 		h := parts[step.id]
-		m.guard(h.tlb)
-		m.guard(h.l1)
+		m.guard(h.tlb.SetGen(addr))
+		m.guard(h.l1.SetGen(addr))
 		if r, ok := h.tlb.LineRef(addr); ok {
 			tlbHit = true
 			if step.refresh {

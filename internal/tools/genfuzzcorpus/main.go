@@ -1,7 +1,8 @@
 // Command genfuzzcorpus regenerates the checked-in seed corpora for the
-// native fuzz targets (parser.FuzzParse, bytecode.FuzzDecode) from the
-// example programs in testdata/. Run it from anywhere inside the repo
-// after adding or changing example programs:
+// native fuzz targets (parser.FuzzParse, bytecode.FuzzDecode and the
+// others) from the example programs in testdata/ and from seeded access
+// scripts. Run it from anywhere inside the repo after adding or changing
+// example programs:
 //
 //	go run ./internal/tools/genfuzzcorpus
 //
@@ -12,6 +13,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -96,7 +98,52 @@ func main() {
 		}
 		write(bdir, "seed-"+tc, "[]byte("+strconv.Quote(buf.String())+")")
 	}
+
+	// Hardware-memo corpus: access scripts for the AccessSite-vs-Access
+	// target, three bytes per operation (op, addr, labels; see
+	// hw.runSiteScript).
+	hdir := filepath.Join(repo, "internal/machine/hw/testdata/fuzz/FuzzAccessSiteMatchesAccess")
+	for name, script := range accessScripts() {
+		write(hdir, name, "[]byte("+strconv.Quote(string(script))+")")
+	}
 	fmt.Println("done")
+}
+
+// accessScripts returns the seed scripts of FuzzAccessSiteMatchesAccess:
+// a hot loop of sites (memos built, replayed and broken by conflicting
+// plain traffic, as in a VM loop body), the same loop cut by resets,
+// and uniformly random scripts.
+func accessScripts() map[string][]byte {
+	r := rand.New(rand.NewSource(1))
+	hot := func(resets bool) []byte {
+		var b []byte
+		for iter := 0; iter < 30; iter++ {
+			for site := byte(0); site < 6; site++ {
+				// Site accesses at stable addresses and labels.
+				b = append(b, site<<4, site*5, site)
+			}
+			// Plain traffic over a few pages, some of it into the
+			// sites' sets.
+			b = append(b, 10+byte(r.Intn(3)), byte(r.Intn(256)), byte(r.Intn(256)))
+			if iter%7 == 0 {
+				b = append(b, 13, byte(r.Intn(256)), byte(r.Intn(256)))
+			}
+			if resets && iter%10 == 9 {
+				b = append(b, 15, 0, 0)
+			}
+		}
+		return b
+	}
+	out := map[string][]byte{
+		"seed-hot-sites":        hot(false),
+		"seed-hot-sites-resets": hot(true),
+	}
+	for i := 0; i < 4; i++ {
+		b := make([]byte, 3*128)
+		r.Read(b)
+		out[fmt.Sprintf("seed-random-%d", i)] = b
+	}
+	return out
 }
 
 // repoRoot walks up from the working directory to the go.mod.
